@@ -22,6 +22,11 @@ from .errors import (
     ParameterError,
 )
 
+# Largest grid a probability CSV may describe (1024 x 1024 cells).  The
+# loader fills every absent cell, so one far coordinate would otherwise
+# allocate a grid of any size.
+MAX_CSV_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -154,6 +159,8 @@ def load_probabilities_csv(path) -> tuple[ProbabilityGrid, int]:
         raise CsvParseError("file contains no cells")
     rows = max(r for r, _ in entries) + 1
     cols = max(c for _, c in entries) + 1
+    if rows * cols > MAX_CSV_CELLS:
+        raise CsvParseError(f"a {rows}x{cols} grid exceeds the limit of {MAX_CSV_CELLS} cells")
     weights = [entries.get((r, c), 0.0) for r in range(rows) for c in range(cols)]
     missing = rows * cols - len(entries)
     return make_grid(weights, rows=rows, cols=cols), missing

@@ -1,66 +1,43 @@
-"""Backend selection for the minimization kernels.
+"""Entry points for the minimization kernels in ``_qmcore_py``.
 
-The compiled extension is preferred when present and the pattern width
-fits in its 32-bit cube packing; otherwise the pure-Python twin runs.
-Both produce identical results.  Set ``PRIVZONE_KERNEL=python`` or
-``=compiled`` to force a backend, or pass ``backend=`` explicitly.
+One pure-Python implementation serves every width: a dense bitset
+prime-implicant kernel up to width 16, a merge loop above it, and a
+static-order greedy cover.  ``backend=`` accepts only ``None`` or
+``"python"``.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _qmcore_py
 from .errors import ParameterError
 
-try:
-    from . import _qmcore as _compiled  # type: ignore[attr-defined]
-except ImportError:
-    _compiled = None
-
-_COMPILED_MAX_WIDTH = 32
-
 
 def available_backends() -> list[str]:
-    return ["python"] + (["compiled"] if _compiled is not None else [])
+    return ["python"]
 
 
 def default_backend(width: int) -> str:
-    forced = os.environ.get("PRIVZONE_KERNEL", "auto")
-    if forced != "auto":
-        return forced
-    if _compiled is not None and width <= _COMPILED_MAX_WIDTH:
-        return "compiled"
     return "python"
 
 
-def _resolve(backend: str | None, width: int):
-    choice = backend if backend is not None else default_backend(width)
-    if choice == "python":
-        return _qmcore_py
-    if choice == "compiled":
-        if _compiled is None:
-            raise ParameterError("compiled kernel is not available in this install")
-        if width > _COMPILED_MAX_WIDTH:
-            raise ParameterError(
-                f"compiled kernel supports widths up to {_COMPILED_MAX_WIDTH}, got {width}"
-            )
-        return _compiled
-    raise ParameterError(f"unknown kernel backend {choice!r}")
+def _resolve(backend: str | None):
+    if backend not in (None, "python"):
+        raise ParameterError(f"unknown kernel backend {backend!r}")
+    return _qmcore_py
 
 
 def minimize_patterns(
     minterms: list[int], width: int, backend: str | None = None
 ) -> list[tuple[int, int]]:
     """Prime implicants plus greedy disjoint cover, as (value, mask) cubes."""
-    impl = _resolve(backend, width)
+    impl = _resolve(backend)
     primes = impl.prime_implicants(minterms, width)
     return impl.select_cover(primes, minterms, width)
 
 
 def prime_implicants(minterms, width, backend=None):
-    return _resolve(backend, width).prime_implicants(minterms, width)
+    return _resolve(backend).prime_implicants(minterms, width)
 
 
 def select_cover(primes, minterms, width, backend=None):
-    return _resolve(backend, width).select_cover(primes, minterms, width)
+    return _resolve(backend).select_cover(primes, minterms, width)

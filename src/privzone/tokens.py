@@ -136,7 +136,7 @@ def fixed_length_minimize(alert_cells: Sequence[str], backend: Optional[str] = N
     for ix in uniq:
         if len(ix) != width:
             raise ParameterError("all indexes must have equal width")
-        if any(ch not in "01" for ch in ix):
+        if ix.strip("01"):
             raise ParameterError(f"index {ix!r} must be binary")
     minterms = [int(ix, 2) for ix in uniq]
     minterms.sort()
@@ -147,13 +147,11 @@ def fixed_length_minimize(alert_cells: Sequence[str], backend: Optional[str] = N
 
 
 def _cube_to_pattern(value: int, mask: int, width: int) -> str:
-    chars = []
-    for pos in range(width):
-        bit = 1 << (width - 1 - pos)
-        if mask & bit:
-            chars.append("*")
-        else:
-            chars.append("1" if value & bit else "0")
+    chars = list(format(value, f"0{width}b"))
+    while mask:
+        bit = mask & -mask
+        chars[width - bit.bit_length()] = "*"
+        mask ^= bit
     return "".join(chars)
 
 

@@ -107,6 +107,11 @@ class TestCsvLoading:
         assert grid.weights == (0.5, 0.0, 0.0, 0.25)
         assert missing == 2
 
+    @pytest.mark.parametrize("line", ["1000000000,0,0.5", "0,1000000000,0.5", "1024,1023,0.5"])
+    def test_oversized_grid_rejected(self, tmp_path, line):
+        with pytest.raises(CsvParseError, match="exceeds the limit"):
+            load_probabilities_csv(self._write(tmp_path, f"row,col,probability\n{line}\n"))
+
     def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(CsvParseError):
             load_probabilities_csv(self._write(tmp_path, "x,y,p\n0,0,1\n"))

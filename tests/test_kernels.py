@@ -2,13 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privzone import ParameterError, kernels
+from privzone import (
+    ParameterError,
+    build_fixed_length,
+    generate_sigmoid_probabilities,
+    kernels,
+    sample_alert_zone,
+)
+from privzone._qmcore_py import _merge_prime_implicants
 from privzone.kernels import available_backends, minimize_patterns, prime_implicants, select_cover
-
-HAS_COMPILED = "compiled" in available_backends()
-
-needs_compiled = pytest.mark.skipif(not HAS_COMPILED, reason="compiled kernel not built")
 
 
 def brute_force_primes(minterms, width):
@@ -45,6 +50,76 @@ def brute_force_primes(minterms, width):
     return sorted(primes)
 
 
+def _cube_minterm_bits(value, mask, position):
+    bits = 0
+    sub = mask
+    while True:
+        bits |= 1 << position[value | sub]
+        if sub == 0:
+            return bits
+        sub = (sub - 1) & mask
+
+
+def greedy_select_cover(primes, minterms, width):
+    """Oracle: the greedy cover recomputing every candidate's gain each round.
+
+    Picks the unblocked candidate (prime or singleton) covering the most
+    new minterms, ties broken on (fewest stars, value, mask), then blocks
+    every candidate overlapping it, until all minterms are covered.
+    """
+    position = {v: i for i, v in enumerate(minterms)}
+    candidates = sorted(set(primes) | {(v, 0) for v in minterms})
+    coverage = [_cube_minterm_bits(v, m, position) for v, m in candidates]
+    non_stars = [width - m.bit_count() for _, m in candidates]
+    blocked = [False] * len(candidates)
+    covered = 0
+    everything = (1 << len(minterms)) - 1
+    chosen = []
+    while covered != everything:
+        best = -1
+        best_key = None
+        for i, (v, m) in enumerate(candidates):
+            if blocked[i]:
+                continue
+            new = (coverage[i] & ~covered).bit_count()
+            if new == 0:
+                continue
+            key = (-new, non_stars[i], v, m)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = i
+        bv, bm = candidates[best]
+        chosen.append((bv, bm))
+        covered |= coverage[best]
+        for i, (v, m) in enumerate(candidates):
+            if not blocked[i] and not ((bv ^ v) & ~bm & ~m):
+                blocked[i] = True
+    return chosen
+
+
+def assert_exact_disjoint_cover(cubes, minterms):
+    covered = set()
+    for value, mask in cubes:
+        members = set()
+        sub = mask
+        while True:
+            members.add(value | sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        assert members <= set(minterms)  # never outside the alert set
+        assert not members & covered  # disjoint from earlier cubes
+        covered |= members
+    assert covered == set(minterms)
+
+
+def assert_matches_reference(minterms, width):
+    """The kernels against the merge loop and the recomputing greedy."""
+    primes = prime_implicants(minterms, width)
+    assert primes == _merge_prime_implicants(minterms, width)
+    assert select_cover(primes, minterms, width) == greedy_select_cover(primes, minterms, width)
+
+
 def random_instance(rng, max_width=6):
     width = rng.randrange(1, max_width + 1)
     universe = list(range(1 << width))
@@ -61,67 +136,65 @@ class TestPrimeImplicants:
                 minterms, width
             )
 
-    @needs_compiled
-    def test_compiled_against_brute_force(self):
-        rng = random.Random(51)
-        for _ in range(120):
-            minterms, width = random_instance(rng)
-            assert prime_implicants(minterms, width, backend="compiled") == brute_force_primes(
-                minterms, width
-            )
 
+class TestAgainstReference:
+    """The bitset primes and static-order cover equal the reference kernels."""
 
-class TestBackendParity:
-    @needs_compiled
-    def test_primes_identical(self):
-        rng = random.Random(52)
-        for _ in range(150):
-            minterms, width = random_instance(rng, max_width=10)
-            py = prime_implicants(minterms, width, backend="python")
-            cy = prime_implicants(minterms, width, backend="compiled")
-            assert py == cy
+    def test_random_instances(self):
+        # At most 128 minterms keeps the recomputing greedy fast; the dense
+        # width-10 case is covered by the real zones below.
+        rng = random.Random(56)
+        for _ in range(2000):
+            width = rng.randrange(1, 11)
+            k = rng.randrange(1, min(1 << width, 128) + 1)
+            assert_matches_reference(sorted(rng.sample(range(1 << width), k)), width)
 
-    @needs_compiled
-    def test_cover_identical(self):
-        rng = random.Random(53)
-        for _ in range(150):
-            minterms, width = random_instance(rng, max_width=10)
-            py = minimize_patterns(minterms, width, backend="python")
-            cy = minimize_patterns(minterms, width, backend="compiled")
-            assert py == cy
+    def test_sparse_wide_instances(self):
+        rng = random.Random(57)
+        for width in list(range(11, 17)) * 5:
+            minterms = sorted(rng.sample(range(1 << width), rng.randrange(1, 300)))
+            assert_matches_reference(minterms, width)
 
-    @needs_compiled
-    def test_cover_identical_sparse_wide(self):
-        rng = random.Random(55)
-        for _ in range(20):
-            width = rng.randrange(11, 17)
-            k = rng.randrange(1, 200)
-            minterms = sorted(rng.sample(range(1 << width), k))
-            py = minimize_patterns(minterms, width, backend="python")
-            cy = minimize_patterns(minterms, width, backend="compiled")
-            assert py == cy
+    @pytest.mark.parametrize("radius", [200, 300])
+    def test_fixed_length_zones(self, radius):
+        grid = generate_sigmoid_probabilities(32, 32, a=0.99, b=100, seed=7)
+        _, index_map = build_fixed_length(grid)
+        for seed in range(3):
+            zone = sample_alert_zone(grid, cell_size_meters=10, radius_meters=radius, seed=seed)
+            minterms = sorted(int(index_map.index_of(c), 2) for c in zone.cell_ids)
+            assert_matches_reference(minterms, index_map.width)
+
+    def test_width_41_takes_the_merge_path(self):
+        stars = 1 << 40 | 1 << 20 | 1
+        block = [1 << 10 | sub for sub in (0, 1, 1 << 20, 1 << 20 | 1)]
+        block += [b | 1 << 40 for b in block]
+        pair = [1 << 30, 1 << 30 | 1 << 2]
+        lone = 1 << 39 | 1 << 5
+        minterms = sorted(block + pair + [lone])
+        expected = [(1 << 10, stars), (1 << 30, 1 << 2), (lone, 0)]
+        assert prime_implicants(minterms, 41) == expected
+        assert_matches_reference(minterms, 41)
 
 
 class TestCoverProperties:
-    @pytest.mark.parametrize("backend", ["python"] + (["compiled"] if HAS_COMPILED else []))
+    @pytest.mark.parametrize("backend", available_backends())
     def test_exact_disjoint_cover(self, backend):
         rng = random.Random(54)
         for _ in range(100):
             minterms, width = random_instance(rng, max_width=8)
-            cubes = minimize_patterns(minterms, width, backend=backend)
-            covered = set()
-            for value, mask in cubes:
-                members = set()
-                sub = mask
-                while True:
-                    members.add(value | sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & mask
-                assert members <= set(minterms)  # never outside the alert set
-                assert not members & covered  # disjoint from earlier cubes
-                covered |= members
-            assert covered == set(minterms)
+            assert_exact_disjoint_cover(minimize_patterns(minterms, width, backend=backend), minterms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=9).flatmap(
+            lambda width: st.tuples(
+                st.sets(st.integers(0, (1 << width) - 1), min_size=1), st.just(width)
+            )
+        )
+    )
+    def test_exact_disjoint_cover_property(self, instance):
+        minterms, width = sorted(instance[0]), instance[1]
+        assert_exact_disjoint_cover(minimize_patterns(minterms, width), minterms)
 
 
 class TestDispatch:
@@ -130,22 +203,15 @@ class TestDispatch:
         cubes = minimize_patterns(minterms, 41)
         assert len(cubes) >= 1
 
-    @needs_compiled
-    def test_compiled_rejects_wide_patterns(self):
-        with pytest.raises(ParameterError):
-            minimize_patterns([0, 1], 41, backend="compiled")
-
     def test_unknown_backend(self):
-        with pytest.raises(ParameterError):
-            minimize_patterns([0, 1], 2, backend="nope")
+        for backend in ("nope", "compiled"):
+            with pytest.raises(ParameterError):
+                minimize_patterns([0, 1], 2, backend=backend)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PRIVZONE_KERNEL", "python")
+    def test_env_override(self):
+        assert kernels.available_backends() == ["python"]
         assert kernels.default_backend(4) == "python"
-        monkeypatch.delenv("PRIVZONE_KERNEL")
-        if HAS_COMPILED:
-            assert kernels.default_backend(4) == "compiled"
-        assert kernels.default_backend(100) == "python" or not HAS_COMPILED
+        assert kernels.default_backend(100) == "python"
 
     def test_select_cover_reexport(self):
         primes = prime_implicants([0, 1], 1, backend="python")
