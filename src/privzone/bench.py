@@ -265,11 +265,15 @@ def _measure(
     return ExperimentResult(rows=tuple(rows), config=config)
 
 
+def _setup(config: ExperimentConfig) -> tuple[ProbabilityGrid, dict[str, _Encoding], random.Random]:
+    """The grid, every method's encoding, and the master RNG that seeds the zones."""
+    grid = config.distribution.build(config.rows, config.cols)
+    return grid, {m: _prepare_encoding(m, grid) for m in config.methods}, random.Random(config.seed)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Radius sweep: every method sees the same zones per radius."""
-    grid = config.distribution.build(config.rows, config.cols)
-    encodings = {m: _prepare_encoding(m, grid) for m in config.methods}
-    master = random.Random(config.seed)
+    grid, encodings, master = _setup(config)
     zones_by_label = {}
     for radius in config.radii_m:
         seeds = [master.randrange(2**63) for _ in range(config.trials)]
@@ -283,9 +287,7 @@ def run_workload_mix(config: ExperimentConfig) -> ExperimentResult:
     """Mixed workload: per-trial radius drawn by the configured fractions."""
     if not config.workload_mix:
         raise ConfigError("config has no workload mix")
-    grid = config.distribution.build(config.rows, config.cols)
-    encodings = {m: _prepare_encoding(m, grid) for m in config.methods}
-    master = random.Random(config.seed)
+    grid, encodings, master = _setup(config)
     # Zone seeds come first so a degenerate mix {(r, 1.0)} samples exactly
     # the zones of a single-radius sweep with the same seed.
     seeds = [master.randrange(2**63) for _ in range(config.trials)]

@@ -2,8 +2,9 @@
 
 Two artifacts are produced from the same tree.  Cell *indexes* are leaf
 codes right-padded with zeros to the reference length; they identify cells
-and are what users encrypt.  The *coding tree* star-pads every node's code
-to the same width; its codewords drive token minimization.
+and are what users encrypt.  The *coding tree* is a table of the tree's
+nodes: each one's code star-padded to the same width, its parent, and the
+range of leaf positions below it; token minimization walks up this table.
 
 For arities above two, each symbol is additionally expanded to a B-bit
 group: symbol i becomes the group with bit i+1 set and stars elsewhere,
@@ -14,7 +15,7 @@ groups.  Indexes finally replace the remaining stars with zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import ParameterError
 from .grid import ProbabilityGrid
@@ -43,31 +44,47 @@ class CellIndexMap:
 
 @dataclass(frozen=True)
 class CodingTree:
-    """Star-padded (and, for B>2, expanded) codewords with leaf bookkeeping.
+    """Node table of the star-padded (and, for B>2, expanded) coding tree.
 
-    ``leaf_order`` lists leaf codewords left to right and ``leaf_cells``
-    the cell id at each position.  ``parent_leaf_counts`` maps each
-    internal node's codeword to its count of non-dummy descendant leaves.
-    Symbol-level variants back the minimization for expanded arities.
+    Non-dummy leaves take ids 0..n-1 left to right; every other node,
+    internal or dummy, follows in preorder.  For each node ``parent`` holds
+    its parent id (-1 at the root), ``[lo, hi)`` the range of non-dummy leaf
+    positions below it, and ``codewords`` its code padded with stars to
+    ``width``.  ``leaf_cells`` gives the cell id at each leaf position.
+    Token minimization walks up this table from the alerted leaves.
     """
 
     width: int
     arity: int
     rl: int
-    leaf_order: tuple[str, ...]
     leaf_cells: tuple[int, ...]
-    parent_leaf_counts: dict[str, int]
-    symbol_leaf_order: tuple[str, ...]
-    symbol_parent_counts: dict[str, int]
+    parent: tuple[int, ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    codewords: tuple[str, ...]
     index_by_string: dict[str, int] = field(repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.leaf_order)
+        return len(self.leaf_cells)
+
+    @property
+    def leaf_order(self) -> tuple[str, ...]:
+        """Leaf codewords, left to right."""
+        return self.codewords[: self.n]
+
+    @property
+    def parent_leaf_counts(self) -> dict[str, int]:
+        """Codeword of each internal node -> its count of non-dummy leaves.
+
+        A one-node tree's leaf doubles as its only countable parent.
+        """
+        internal = sorted({p for p in self.parent if p >= 0}) or [0]
+        return {self.codewords[v]: self.hi[v] - self.lo[v] for v in internal}
 
     def index_of_leaf(self, position: int) -> str:
         """Reconstruct the cell index from the leaf codeword at ``position``."""
-        return codeword_to_index(self.leaf_order[position], self.width)
+        return codeword_to_index(self.codewords[position], self.width)
 
 
 def codeword_to_index(codeword: str, width: int) -> str:
@@ -104,69 +121,93 @@ def expand_bary(symbol_string: str, b: int, padding_mask: Optional[Sequence[bool
     return "".join(groups)
 
 
+def _leaf_pattern(tree: PrefixTree, leaf: TreeNode) -> str:
+    """Leaf code zero-padded to the reference length, expanded for B>2.
+
+    Expanded symbol groups keep their stars; padding symbols become
+    all-zero groups.  The single leaf of a one-cell tree is coded '0'.
+    """
+    code = leaf.code or "0"
+    padded = code.ljust(tree.rl, "0")
+    if tree.arity == 2:
+        return padded
+    mask = [False] * len(code) + [True] * (tree.rl - len(code))
+    return expand_bary(padded, tree.arity, mask)
+
+
 def make_cell_indexes(tree: PrefixTree) -> CellIndexMap:
     """Zero-pad every leaf code to the reference length, keyed by cell id."""
-    entries = {}
-    for leaf in tree.leaf_order:
-        code = leaf.code if tree.n > 1 else "0"
-        padded = code.ljust(tree.rl, "0")
-        if tree.arity == 2:
-            entries[leaf.cell_id] = padded
-        else:
-            mask = [False] * len(code) + [True] * (tree.rl - len(code))
-            entries[leaf.cell_id] = expand_bary(padded, tree.arity, mask).replace("*", "0")
+    entries = {leaf.cell_id: _leaf_pattern(tree, leaf).replace("*", "0") for leaf in tree.leaf_order}
     width = tree.rl if tree.arity == 2 else tree.rl * tree.arity
     return CellIndexMap(entries=entries, width=width)
 
 
-def _leaf_counts(tree: PrefixTree) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    order = list(tree.iter_nodes())
-    for node in reversed(order):
-        if node.is_leaf:
-            counts[id(node)] = 0 if node.dummy else 1
+def _numbered_nodes(tree: PrefixTree) -> Iterator[tuple[TreeNode, int, int]]:
+    """Yield (node, id, parent id) in preorder, with the ids of ``CodingTree``."""
+    next_leaf, next_other = 0, tree.n
+    stack = [(tree.root, -1)]
+    while stack:
+        node, up = stack.pop()
+        if node.is_leaf and not node.dummy:
+            v, next_leaf = next_leaf, next_leaf + 1
         else:
-            counts[id(node)] = sum(counts[id(c)] for c in node.children)
-    return counts
+            v, next_other = next_other, next_other + 1
+        yield node, v, up
+        for child in reversed(node.children):
+            stack.append((child, v))
 
 
 def make_coding_tree(tree: PrefixTree) -> CodingTree:
-    """Star-pad all node codes to the reference length (expanding for B>2)."""
-    counts = _leaf_counts(tree)
+    """Build the node table, star-padding codes to the reference length.
 
-    def symbol_codeword(node: TreeNode) -> str:
-        if tree.n == 1 and node.is_leaf:
-            return "0" if tree.arity == 2 else "*" * tree.rl
-        return node.code.ljust(tree.rl, "*")
-
-    def final(codeword: str) -> str:
-        if tree.arity == 2:
-            return codeword
-        return expand_bary(codeword, tree.arity)
-
-    symbol_parent_counts = {}
-    for node in tree.iter_nodes():
-        if not node.is_leaf:
-            symbol_parent_counts[symbol_codeword(node)] = counts[id(node)]
-    if tree.n == 1:
-        # Single-node tree: the root doubles as the only (countable) parent.
-        symbol_parent_counts = {symbol_codeword(tree.root): 1}
-
-    symbol_leaf_order = tuple(symbol_codeword(leaf) for leaf in tree.leaf_order)
-    leaf_order = tuple(final(cw) for cw in symbol_leaf_order)
-    parent_leaf_counts = {final(cw): c for cw, c in symbol_parent_counts.items()}
-    width = tree.rl if tree.arity == 2 else tree.rl * tree.arity
-    index_by_string = {codeword_to_index(cw, width): pos for pos, cw in enumerate(leaf_order)}
+    A child's codeword is its parent's with the child's symbol group
+    written over the first star group, so ``expand_bary`` runs once per
+    symbol of the alphabet rather than once per node.
+    """
+    n = tree.n
+    group_width = 1 if tree.arity == 2 else tree.arity
+    width = tree.rl * group_width
+    group = {s: expand_bary(s, tree.arity) if group_width > 1 else s for s in _SYMBOLS[: tree.arity]}
+    parent = [-1] * n
+    lo = list(range(n))
+    hi = list(range(1, n + 1))
+    codewords = [""] * n
+    leaves_seen = 0
+    for node, v, up in _numbered_nodes(tree):
+        if up >= 0:
+            k = (len(node.code) - 1) * group_width
+            above = codewords[up]
+            codeword = above[:k] + group[node.code[-1]] + above[k + group_width :]
+        elif v < n:  # a one-cell tree's root is its leaf, coded '0'
+            codeword = group["0"].ljust(width, "*")
+        else:
+            codeword = "*" * width
+        if v < n:
+            parent[v] = up
+            codewords[v] = codeword
+            leaves_seen = v + 1
+        else:
+            parent.append(up)
+            lo.append(leaves_seen)
+            hi.append(leaves_seen)
+            codewords.append(codeword)
+    # Other nodes are numbered in preorder, so a node's descendants hold
+    # higher ids: widening from the leaves first, then from the other nodes
+    # in falling id order, completes each range before it is passed up.
+    for v in [*range(n), *range(len(parent) - 1, n - 1, -1)]:
+        up = parent[v]
+        if up >= 0 and hi[v] > hi[up]:
+            hi[up] = hi[v]
     return CodingTree(
         width=width,
         arity=tree.arity,
         rl=tree.rl,
-        leaf_order=leaf_order,
         leaf_cells=tuple(leaf.cell_id for leaf in tree.leaf_order),
-        parent_leaf_counts=parent_leaf_counts,
-        symbol_leaf_order=symbol_leaf_order,
-        symbol_parent_counts=symbol_parent_counts,
-        index_by_string=index_by_string,
+        parent=tuple(parent),
+        lo=tuple(lo),
+        hi=tuple(hi),
+        codewords=tuple(codewords),
+        index_by_string={codeword_to_index(cw, width): pos for pos, cw in enumerate(codewords[:n])},
     )
 
 
@@ -188,12 +229,7 @@ def index_refinement_pattern(tree: PrefixTree, cell_id: int) -> str:
     leaf = next((lf for lf in tree.leaf_order if lf.cell_id == cell_id), None)
     if leaf is None:
         raise ParameterError(f"no cell {cell_id} in the tree")
-    code = leaf.code if tree.n > 1 else "0"
-    padded = code.ljust(tree.rl, "0")
-    if tree.arity == 2:
-        return padded
-    mask = [False] * len(code) + [True] * (tree.rl - len(code))
-    return expand_bary(padded, tree.arity, mask)
+    return _leaf_pattern(tree, leaf)
 
 
 def validate_refined_indexes(pattern: str, refined: Sequence[str]) -> None:
@@ -229,23 +265,14 @@ def validate_refined_indexes(pattern: str, refined: Sequence[str]) -> None:
 
 def coding_tree_to_json(tree: PrefixTree) -> dict:
     """Tree JSON augmented with padded codewords and descendant-leaf counts."""
-    counts = _leaf_counts(tree)
     coding = make_coding_tree(tree)
-
-    def codeword(node: TreeNode) -> str:
-        if tree.n == 1 and node.is_leaf:
-            return coding.leaf_order[0]
-        cw = node.code.ljust(tree.rl, "*")
-        return cw if tree.arity == 2 else expand_bary(cw, tree.arity)
-
     out: dict[int, dict] = {}
-    order = list(tree.iter_nodes())
-    for node in reversed(order):
+    for node, v, _ in reversed(list(_numbered_nodes(tree))):
         obj = {
             "code": node.code,
             "weight": node.weight,
-            "codeword": codeword(node),
-            "leafCount": counts[id(node)],
+            "codeword": coding.codewords[v],
+            "leafCount": coding.hi[v] - coding.lo[v],
         }
         if node.cell_id is not None:
             obj["cellId"] = node.cell_id

@@ -2,9 +2,12 @@
 
 A token is a fixed-width pattern over {0,1,*}; it matches every cell index
 that agrees with it on all non-star positions.  The coding-tree minimizer
-maps alert cells to leaves, clusters consecutive leaf positions, and emits
-the deepest subtree roots that cover whole clusters.  The fixed-length
-baseline minimizes the raw indexes as boolean cubes instead.
+maps alert cells to leaf positions, splits them into runs of consecutive
+positions, and walks up the coding tree's node table from the start of
+each run: it emits the lowest node whose leaf range is the widest that
+starts there and stays inside the run, then continues after that range.
+The fixed-length baseline minimizes the raw indexes as boolean cubes
+instead.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from . import kernels
-from .encoding import CellIndexMap, CodingTree, expand_bary
+from .encoding import CellIndexMap, CodingTree
 from .errors import ParameterError, UnknownIndexError
 from .grid import AlertZone
 
@@ -53,50 +56,27 @@ def index_to_codeword(index: str, coding_tree: CodingTree) -> tuple[str, int]:
         position = coding_tree.index_by_string[index]
     except KeyError:
         raise UnknownIndexError(f"index {index!r} is not derived from any leaf") from None
-    return coding_tree.leaf_order[position], position
+    return coding_tree.codewords[position], position
 
 
-def _cluster_tokens(cluster: list[str], width: int, parent_counts: dict[str, int]) -> list[str]:
-    """Emit subtree-root codewords covering a run of consecutive leaves.
+def _cover_run(coding_tree: CodingTree, i: int, last: int, tokens: list[str]) -> None:
+    """Append subtree-root codewords covering leaf positions [i, last).
 
-    For the first L codewords (L descending from the cluster size), their
-    longest common prefix is star-padded to the full width and accepted
-    when it is an internal codeword with exactly L descendant leaves.
-    With no acceptable L >= 2, the first codeword itself is emitted.
+    From leaf i, climb while the parent's leaf range still starts at i and
+    ends by ``last``; emit the lowest node with the widest range met (a
+    node is kept only when the range strictly grows, so a single-child
+    chain emits its lowest node), then continue after that range.
     """
-    tokens = []
-    i = 0
-    size = len(cluster)
-    while i < size:
-        remaining = size - i
-        # lcp_len[j] = length of the common prefix of cluster[i .. i+j+1]
-        lcp_len = []
-        shortest = width
-        for j in range(remaining - 1):
-            a, b = cluster[i + j], cluster[i + j + 1]
-            k = 0
-            limit = min(shortest, width)
-            while k < limit and a[k] == b[k]:
-                k += 1
-            shortest = min(shortest, k)
-            lcp_len.append(shortest)
-        consumed = 0
-        candidate = None
-        candidate_len = -1
-        for length in range(remaining, 1, -1):
-            mlen = lcp_len[length - 2]
-            if mlen != candidate_len:
-                candidate_len = mlen
-                candidate = cluster[i][:mlen] + "*" * (width - mlen)
-            if parent_counts.get(candidate) == length:
-                tokens.append(candidate)
-                consumed = length
-                break
-        if not consumed:
-            tokens.append(cluster[i])
-            consumed = 1
-        i += consumed
-    return tokens
+    parent, lo, hi = coding_tree.parent, coding_tree.lo, coding_tree.hi
+    while i < last:
+        best = i
+        up = parent[i]
+        while up >= 0 and lo[up] == i and hi[up] <= last:
+            if hi[up] > hi[best]:
+                best = up
+            up = parent[up]
+        tokens.append(coding_tree.codewords[best])
+        i = hi[best]
 
 
 def minimize_tokens(alert_cells: Sequence[str], coding_tree: CodingTree) -> TokenSet:
@@ -104,24 +84,17 @@ def minimize_tokens(alert_cells: Sequence[str], coding_tree: CodingTree) -> Toke
     if not alert_cells:
         return TokenSet(tokens=(), source_zone=None)
     positions = sorted({index_to_codeword(ix, coding_tree)[1] for ix in alert_cells})
-    clusters: list[list[int]] = [[positions[0]]]
-    for pos in positions[1:]:
-        if pos == clusters[-1][-1] + 1:
-            clusters[-1].append(pos)
-        else:
-            clusters.append([pos])
-    symbol_width = coding_tree.rl
     tokens: list[str] = []
-    for run in clusters:
-        cluster = [coding_tree.symbol_leaf_order[p] for p in run]
-        tokens.extend(_cluster_tokens(cluster, symbol_width, coding_tree.symbol_parent_counts))
-    if coding_tree.arity > 2:
-        tokens = [expand_bary(t, coding_tree.arity) for t in tokens]
+    start = positions[0]
+    for pos, following in zip(positions, positions[1:] + [-1]):
+        if following != pos + 1:
+            _cover_run(coding_tree, start, pos + 1, tokens)
+            start = following
     zone = AlertZone(cell_ids=frozenset(coding_tree.leaf_cells[p] for p in positions))
     return TokenSet(tokens=tuple(tokens), source_zone=zone)
 
 
-def fixed_length_minimize(alert_cells: Sequence[str], backend: Optional[str] = None) -> TokenSet:
+def fixed_length_minimize(alert_cells: Sequence[str]) -> TokenSet:
     """Exact cover of fixed-length indexes by disjoint implicants.
 
     Prime implicants are computed Quine-McCluskey style (iterative
@@ -132,6 +105,8 @@ def fixed_length_minimize(alert_cells: Sequence[str], backend: Optional[str] = N
     if not alert_cells:
         return TokenSet(tokens=(), source_zone=None)
     width = len(alert_cells[0])
+    if width == 0:
+        raise ParameterError("index width must be at least 1")
     uniq = sorted(set(alert_cells))
     for ix in uniq:
         if len(ix) != width:
@@ -140,7 +115,7 @@ def fixed_length_minimize(alert_cells: Sequence[str], backend: Optional[str] = N
             raise ParameterError(f"index {ix!r} must be binary")
     minterms = [int(ix, 2) for ix in uniq]
     minterms.sort()
-    cubes = kernels.minimize_patterns(minterms, width, backend=backend)
+    cubes = kernels.minimize_patterns(minterms, width)
     tokens = tuple(_cube_to_pattern(v, m, width) for v, m in cubes)
     zone = AlertZone(cell_ids=frozenset(minterms))
     return TokenSet(tokens=tokens, source_zone=zone)

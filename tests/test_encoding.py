@@ -95,6 +95,21 @@ class TestCodingTree:
         assert coding.leaf_order == ("000", "001", "01*", "10*", "11*")
         assert coding.leaf_cells == (1, 0, 3, 2, 4)
 
+    def test_golden_node_table(self):
+        coding = make_coding_tree(golden_tree())
+        # Leaves 0-4, then '***', '0**', '00*', '1**' in preorder.
+        assert coding.codewords[5:] == ("***", "0**", "00*", "1**")
+        assert coding.parent == (7, 7, 6, 8, 8, -1, 5, 6, 5)
+        assert coding.lo == (0, 1, 2, 3, 4, 0, 0, 0, 3)
+        assert coding.hi == (1, 2, 3, 4, 5, 5, 3, 2, 5)
+
+    def test_bary_dummy_leaf_in_table(self):
+        coding = make_coding_tree(build_bary_huffman_tree(make_grid([0.1, 0.2, 0.3, 0.4]), 3))
+        # The dummy '02' follows its parent '0' and covers no leaf position.
+        assert coding.codewords[4:] == ("******", "1*****", "1****1")
+        assert coding.parent[4:] == (-1, 4, 5)
+        assert coding.lo[6] == coding.hi[6] == 2
+
     def test_single_leaf_degenerate(self):
         coding = make_coding_tree(build_huffman_tree(make_grid([1.0])))
         assert coding.leaf_order == ("0",)
@@ -183,6 +198,14 @@ class TestCodingTreeJson:
         left = obj["children"][0]
         assert left["codeword"] == "0**"
         assert left["leafCount"] == 3
+
+    def test_bary_dummy_annotations(self):
+        obj = coding_tree_to_json(build_bary_huffman_tree(make_grid([0.1, 0.2, 0.3, 0.4]), 3))
+        merge = obj["children"][0]
+        assert (merge["codeword"], merge["leafCount"]) == ("1*****", 2)
+        dummy = merge["children"][2]
+        assert (dummy["code"], dummy["codeword"], dummy["leafCount"]) == ("02", "1****1", 0)
+        assert "cellId" not in dummy
 
 
 class TestGranularityRefinement:

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privzone import (
-    ParameterError,
     build_fixed_length,
     generate_sigmoid_probabilities,
     kernels,
     sample_alert_zone,
 )
-from privzone._qmcore_py import _merge_prime_implicants
-from privzone.kernels import available_backends, minimize_patterns, prime_implicants, select_cover
+from privzone._qmcore_py import _merge_prime_implicants, prime_implicants, select_cover
+from privzone.kernels import minimize_patterns
 
 
 def brute_force_primes(minterms, width):
@@ -132,7 +131,7 @@ class TestPrimeImplicants:
         rng = random.Random(50)
         for _ in range(120):
             minterms, width = random_instance(rng)
-            assert prime_implicants(minterms, width, backend="python") == brute_force_primes(
+            assert prime_implicants(minterms, width) == brute_force_primes(
                 minterms, width
             )
 
@@ -177,12 +176,11 @@ class TestAgainstReference:
 
 
 class TestCoverProperties:
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_exact_disjoint_cover(self, backend):
+    def test_exact_disjoint_cover(self):
         rng = random.Random(54)
         for _ in range(100):
             minterms, width = random_instance(rng, max_width=8)
-            assert_exact_disjoint_cover(minimize_patterns(minterms, width, backend=backend), minterms)
+            assert_exact_disjoint_cover(minimize_patterns(minterms, width), minterms)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -203,16 +201,11 @@ class TestDispatch:
         cubes = minimize_patterns(minterms, 41)
         assert len(cubes) >= 1
 
-    def test_unknown_backend(self):
-        for backend in ("nope", "compiled"):
-            with pytest.raises(ParameterError):
-                minimize_patterns([0, 1], 2, backend=backend)
-
     def test_env_override(self):
         assert kernels.available_backends() == ["python"]
         assert kernels.default_backend(4) == "python"
         assert kernels.default_backend(100) == "python"
 
     def test_select_cover_reexport(self):
-        primes = prime_implicants([0, 1], 1, backend="python")
-        assert select_cover(primes, [0, 1], 1, backend="python") == [(0, 1)]
+        primes = prime_implicants([0, 1], 1)
+        assert select_cover(primes, [0, 1], 1) == [(0, 1)]

@@ -4,19 +4,26 @@ import random
 import pytest
 
 from privzone import (
+    AlertZone,
     ParameterError,
+    TokenSet,
     UnknownIndexError,
+    build_balanced_tree,
     build_bary_huffman_tree,
     build_fixed_length,
+    build_fixed_length_tree,
     build_huffman_tree,
     coverage_oracle,
+    expand_bary,
     fixed_length_minimize,
+    generate_sigmoid_probabilities,
     index_to_codeword,
     make_cell_indexes,
     make_coding_tree,
     make_grid,
     minimize_tokens,
     pairing_cost,
+    sample_alert_zone,
     token_matches,
 )
 
@@ -166,6 +173,10 @@ class TestFixedLengthMinimize:
         with pytest.raises(ParameterError):
             fixed_length_minimize(["0*1"])
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ParameterError):
+            fixed_length_minimize([""])
+
 
 class TestCoverageOracle:
     def test_golden_cover(self, golden):
@@ -271,3 +282,162 @@ class TestExactCoverProperties:
             ftokens = fixed_length_minimize([fixed_map.entries[c] for c in zone])
             covered_f, fp_f = coverage_oracle(ftokens, fixed_map)
             assert covered_f == set(zone) and fp_f == set()
+
+
+def _cluster_tokens(cluster, width, parent_counts):
+    """Reference: emit subtree-root codewords covering a run of consecutive leaves.
+
+    For the first L codewords (L descending from the cluster size), their
+    longest common prefix is star-padded to the full width and accepted
+    when it is an internal codeword with exactly L descendant leaves.
+    With no acceptable L >= 2, the first codeword itself is emitted.
+    """
+    tokens = []
+    i = 0
+    size = len(cluster)
+    while i < size:
+        remaining = size - i
+        # lcp_len[j] = length of the common prefix of cluster[i .. i+j+1]
+        lcp_len = []
+        shortest = width
+        for j in range(remaining - 1):
+            a, b = cluster[i + j], cluster[i + j + 1]
+            k = 0
+            limit = min(shortest, width)
+            while k < limit and a[k] == b[k]:
+                k += 1
+            shortest = min(shortest, k)
+            lcp_len.append(shortest)
+        consumed = 0
+        candidate = None
+        candidate_len = -1
+        for length in range(remaining, 1, -1):
+            mlen = lcp_len[length - 2]
+            if mlen != candidate_len:
+                candidate_len = mlen
+                candidate = cluster[i][:mlen] + "*" * (width - mlen)
+            if parent_counts.get(candidate) == length:
+                tokens.append(candidate)
+                consumed = length
+                break
+        if not consumed:
+            tokens.append(cluster[i])
+            consumed = 1
+        i += consumed
+    return tokens
+
+
+def lcp_minimize(alert_cells, tree, coding_tree):
+    """Reference minimizer: longest-common-prefix clustering over symbol codewords.
+
+    Works on the unexpanded codes of ``tree`` (star-padded to RL symbols)
+    and expands the emitted tokens for B > 2, independently of the node
+    table that ``minimize_tokens`` walks.
+    """
+    if not alert_cells:
+        return TokenSet(tokens=(), source_zone=None)
+
+    def symbol_codeword(node):
+        if tree.n == 1 and node.is_leaf:
+            return "0"
+        return node.code.ljust(tree.rl, "*")
+
+    counts = {}
+    for node in reversed(list(tree.iter_nodes())):
+        if node.is_leaf:
+            counts[id(node)] = 0 if node.dummy else 1
+        else:
+            counts[id(node)] = sum(counts[id(c)] for c in node.children)
+    parent_counts = {
+        symbol_codeword(node): counts[id(node)] for node in tree.iter_nodes() if not node.is_leaf
+    }
+    if tree.n == 1:
+        parent_counts = {symbol_codeword(tree.root): 1}
+    leaf_codewords = [symbol_codeword(leaf) for leaf in tree.leaf_order]
+
+    positions = sorted({index_to_codeword(ix, coding_tree)[1] for ix in alert_cells})
+    clusters = [[positions[0]]]
+    for pos in positions[1:]:
+        if pos == clusters[-1][-1] + 1:
+            clusters[-1].append(pos)
+        else:
+            clusters.append([pos])
+    tokens = []
+    for run in clusters:
+        tokens.extend(_cluster_tokens([leaf_codewords[p] for p in run], tree.rl, parent_counts))
+    if tree.arity > 2:
+        tokens = [expand_bary(t, tree.arity) for t in tokens]
+    zone = AlertZone(cell_ids=frozenset(coding_tree.leaf_cells[p] for p in positions))
+    return TokenSet(tokens=tuple(tokens), source_zone=zone)
+
+
+def _build(method, grid):
+    if method == "huffman":
+        return build_huffman_tree(grid)
+    if method == "balanced":
+        return build_balanced_tree(grid)
+    if method == "fixed":
+        return build_fixed_length_tree(grid)
+    return build_bary_huffman_tree(grid, int(method[5:-1]))
+
+
+def _random_zone(rng, tree):
+    """Cells of random density, or whole runs of consecutive leaves."""
+    cells = [leaf.cell_id for leaf in tree.leaf_order]
+    if rng.random() < 0.5:
+        return rng.sample(cells, rng.randrange(1, len(cells) + 1))
+    zone = set()
+    for _ in range(rng.randrange(1, 4)):
+        start = rng.randrange(len(cells))
+        zone.update(cells[start : start + rng.randrange(1, len(cells) + 1)])
+    return sorted(zone)
+
+
+def assert_same_as_reference(tree, zones):
+    index_map = make_cell_indexes(tree)
+    coding = make_coding_tree(tree)
+    for zone in zones:
+        indexes = [index_map.entries[c] for c in zone]
+        assert minimize_tokens(indexes, coding) == lcp_minimize(indexes, tree, coding), zone
+
+
+class TestAgainstLcpReference:
+    """The tree walk emits the tokens of the string-LCP minimizer it replaced."""
+
+    METHODS = ("huffman", "balanced", "fixed", "bary(3)", "bary(4)", "bary(5)", "bary(7)")
+
+    def test_random_instances(self):
+        rng = random.Random(405)
+        instances = 0
+        while instances < 2100:
+            method = rng.choice(self.METHODS)
+            lowest = int(method[5:-1]) if method.startswith("bary") else 1
+            n = rng.randrange(lowest, 101)
+            grid = make_grid([rng.random() + 1e-12 for _ in range(n)])
+            tree = _build(method, grid)
+            zones = [_random_zone(rng, tree) for _ in range(6)]
+            assert_same_as_reference(tree, zones)
+            instances += len(zones)
+
+    @pytest.mark.parametrize("method", ["huffman", "balanced", "bary(3)"])
+    def test_benchmark_map_every_radius(self, method):
+        grid = generate_sigmoid_probabilities(32, 32, 0.99, 100.0, 2021)
+        rng = random.Random(406)
+        zones = [
+            sorted(sample_alert_zone(grid, 10.0, radius, rng.randrange(2**63)).cell_ids)
+            for radius in (10.0, 20.0, 50.0, 100.0, 200.0, 300.0)
+            for _ in range(3)
+        ]
+        assert_same_as_reference(_build(method, grid), zones)
+
+    def test_single_child_chain_emits_lowest_node(self):
+        # n = 6 fixed-length codes: node '1' has the one child '10'.
+        tree, index_map = build_fixed_length(make_grid([1.0] * 6))
+        coding = make_coding_tree(tree)
+        result = minimize_tokens([index_map.entries[4], index_map.entries[5]], coding)
+        assert result.tokens == ("10*",)
+        assert result == lcp_minimize([index_map.entries[4], index_map.entries[5]], tree, coding)
+
+    def test_single_cell_grid(self):
+        tree = build_huffman_tree(make_grid([1.0]))
+        assert_same_as_reference(tree, [[0]])
